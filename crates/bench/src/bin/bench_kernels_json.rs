@@ -1,10 +1,11 @@
 //! Machine-readable kernel throughput snapshot.
 //!
-//! Times the hot inference paths behind every experiment — blocked GEMM,
-//! im2col convolution, the full policy/value forward at the paper's grid
-//! sizes, and cached vs uncached exploration cycles — against the retained
-//! naive reference kernels, then writes everything to `BENCH_kernels.json`
-//! so perf changes across commits are diffable.
+//! Times the hot inference paths behind every experiment — blocked GEMM
+//! (one large shape, plus per-call rows for the 4x4 learner's small
+//! convolution GEMMs), im2col convolution, the full policy/value forward
+//! at the paper's grid sizes, and cached vs uncached exploration cycles —
+//! against the retained naive reference kernels, then writes everything to
+//! `BENCH_kernels.json` so perf changes across commits are diffable.
 //!
 //! All kernel timings pin the matmul to a single thread; the parallel path
 //! only adds on top and would make runs incomparable across hosts.
@@ -79,6 +80,38 @@ fn main() {
     let matmul_naive = time_secs(|| {
         black_box(reference::matmul_naive(black_box(&a), black_box(&b)));
     });
+
+    // --- Per-call GEMMs of the learner's small(4) convolutions ---------
+    // These are the GEMMs the 4x4 explorer runs on every forward and
+    // backward; at this size fixed per-call costs (panel allocation and
+    // packing) dominate, which the 256x512x256 row above cannot show.
+    let small = PolicyValueConfig::small(4);
+    let (c, hw) = (small.channels[0], small.input_side * small.input_side);
+    let (stem_k, res_k) = (small.stem_kernel * small.stem_kernel, c * 9);
+    let small_gemms = [
+        ("fwd_stem", false, false, c, stem_k, hw),
+        ("fwd_residual", false, false, c, res_k, hw),
+        ("fwd_head", false, false, 2, res_k, hw),
+        ("bwd_residual_weight", false, true, c, hw, res_k),
+        ("bwd_residual_input", true, false, res_k, c, hw),
+    ];
+    let mut small_rows = String::new();
+    for (name, trans_a, trans_b, m, k, n) in small_gemms {
+        let a = wave(m * k, 0.31);
+        let b = wave(k * n, 0.17);
+        let mut out = vec![0.0f32; m * n];
+        let secs = time_secs(|| {
+            rlnoc_nn::kernels::gemm(trans_a, trans_b, m, k, n, &a, &b, black_box(&mut out));
+        });
+        let _ = write!(
+            small_rows,
+            "{}\n    \"{name}\": {{ \"shape\": [{m}, {k}, {n}], \"trans\": \"{}{}\", \"us_per_call\": {:.2} }}",
+            if small_rows.is_empty() { "" } else { "," },
+            if trans_a { 't' } else { 'n' },
+            if trans_b { 't' } else { 'n' },
+            secs * 1e6
+        );
+    }
 
     // --- im2col conv vs naive at the paper-8x8 stage-2 shape ------------
     let x = Tensor::from_vec(wave(16 * 32 * 32, 0.11), &[1, 16, 32, 32])
@@ -173,6 +206,8 @@ fn main() {
     "blocked_ops_per_sec": {:.2},
     "naive_ops_per_sec": {:.2},
     "speedup": {:.2}
+  }},
+  "small4_conv_gemm": {{{small_rows}
   }},
   "conv_forward": {{
     "shape": "1x16x32x32 -> 32c, k3",

@@ -153,8 +153,12 @@ fn gemm_band(
     c_band: &mut [f32],
     row0: usize,
 ) {
-    let mut packed_a = vec![0.0f32; MC.div_ceil(MR) * MR * KC];
-    let mut packed_b = vec![0.0f32; KC * NC.div_ceil(NR) * NR];
+    // Panels are sized to the call, not to the blocking constants: a
+    // full-size `KC × NC` B panel is 4 MiB, and zero-filling it would cost
+    // more than the arithmetic of the small GEMMs the learner runs.
+    let kc_max = KC.min(k);
+    let mut packed_a = vec![0.0f32; MC.min(rows).next_multiple_of(MR) * kc_max];
+    let mut packed_b = vec![0.0f32; kc_max * NC.min(n).next_multiple_of(NR)];
 
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
@@ -229,6 +233,16 @@ fn pack_b(
     let mut dst = 0;
     for jr in (0..nc).step_by(NR) {
         let tile_cols = NR.min(nc - jr);
+        if !trans_b && tile_cols == NR {
+            // A full micro-column of a row-major B (the conv forward's
+            // im2col operand) is one contiguous run of each row.
+            for p in 0..kc {
+                let src = (p0 + p) * ldb + j0 + jr;
+                packed[dst..dst + NR].copy_from_slice(&b[src..src + NR]);
+                dst += NR;
+            }
+            continue;
+        }
         for p in 0..kc {
             for j in 0..NR {
                 packed[dst] = if j < tile_cols {
@@ -324,9 +338,25 @@ mod tests {
         }
     }
 
+    /// Parity tolerance against the naive oracle. The oracle sums all of
+    /// `k` in one pass, while the kernel sums each `KC` slice separately
+    /// and then adds the partials, so past one slice the two round apart
+    /// further: at `k = 2·KC` the relative gap reached 4.3e-5 over twenty
+    /// random seeds. A packing or indexing bug errs by O(1), so 1e-4 still
+    /// catches one.
+    fn tolerance(k: usize) -> f32 {
+        if k >= 2 * KC {
+            1e-4
+        } else {
+            1e-5
+        }
+    }
+
     /// Shapes chosen to exercise every edge path: tiles smaller than
     /// MR/NR, exact multiples, ragged remainders, and panels larger than
-    /// one MC/KC/NC block.
+    /// one MC/KC/NC block. The last five cross the blocking edges the
+    /// per-call panel sizing depends on; three of them are large enough
+    /// for the threaded path.
     const SHAPES: &[(usize, usize, usize)] = &[
         (1, 1, 1),
         (3, 5, 2),
@@ -335,7 +365,21 @@ mod tests {
         (17, 9, 64),
         (64, 300, 20),
         (130, 70, 130),
+        (5, 9, 4100),   // n > NC
+        (16, 40, 4100), // n > NC, threaded
+        (6, 512, 10),   // k = 2·KC
+        (40, 512, 128), // k = 2·KC, threaded
+        (290, 64, 130), // rows > MC within each band at 2 threads
     ];
+
+    /// Runs `f` with the matmul thread budget pinned to `threads`.
+    fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        let previous = matmul_threads();
+        set_matmul_threads(threads);
+        let result = f();
+        set_matmul_threads(previous);
+        result
+    }
 
     #[test]
     fn gemm_matches_naive_reference() {
@@ -344,9 +388,14 @@ mod tests {
             let a = Tensor::from_vec(random_vec(&mut rng, m * k), &[m, k]).unwrap();
             let b = Tensor::from_vec(random_vec(&mut rng, k * n), &[k, n]).unwrap();
             let expected = reference::matmul_naive(&a, &b);
-            let mut c = vec![0.0f32; m * n];
-            gemm(false, false, m, k, n, a.as_slice(), b.as_slice(), &mut c);
-            assert_close(&c, expected.as_slice(), 1e-5, &format!("nn {m}x{k}x{n}"));
+            for threads in [1, 2] {
+                let mut c = vec![f32::NAN; m * n];
+                with_threads(threads, || {
+                    gemm(false, false, m, k, n, a.as_slice(), b.as_slice(), &mut c)
+                });
+                let what = format!("nn {m}x{k}x{n} at {threads} threads");
+                assert_close(&c, expected.as_slice(), tolerance(k), &what);
+            }
         }
     }
 
@@ -360,17 +409,29 @@ mod tests {
             let at = a.transpose();
             let bt = b.transpose();
 
-            let mut c = vec![0.0f32; m * n];
-            gemm(true, false, m, k, n, at.as_slice(), b.as_slice(), &mut c);
-            assert_close(&c, expected.as_slice(), 1e-5, &format!("tn {m}x{k}x{n}"));
-
-            c.fill(f32::NAN);
-            gemm(false, true, m, k, n, a.as_slice(), bt.as_slice(), &mut c);
-            assert_close(&c, expected.as_slice(), 1e-5, &format!("nt {m}x{k}x{n}"));
-
-            c.fill(f32::NAN);
-            gemm(true, true, m, k, n, at.as_slice(), bt.as_slice(), &mut c);
-            assert_close(&c, expected.as_slice(), 1e-5, &format!("tt {m}x{k}x{n}"));
+            for threads in [1, 2] {
+                for (trans_a, trans_b, tag) in
+                    [(true, false, "tn"), (false, true, "nt"), (true, true, "tt")]
+                {
+                    let lhs = if trans_a { &at } else { &a };
+                    let rhs = if trans_b { &bt } else { &b };
+                    let mut c = vec![f32::NAN; m * n];
+                    with_threads(threads, || {
+                        gemm(
+                            trans_a,
+                            trans_b,
+                            m,
+                            k,
+                            n,
+                            lhs.as_slice(),
+                            rhs.as_slice(),
+                            &mut c,
+                        )
+                    });
+                    let what = format!("{tag} {m}x{k}x{n} at {threads} threads");
+                    assert_close(&c, expected.as_slice(), tolerance(k), &what);
+                }
+            }
         }
     }
 
@@ -391,23 +452,29 @@ mod tests {
 
     #[test]
     fn results_invariant_to_thread_count() {
-        let (m, k, n) = (96, 280, 96); // above PARALLEL_FLOPS with threads pinned
+        // (96, 280, 96) and the edge shapes marked "threaded" in SHAPES
+        // are above PARALLEL_FLOPS, so pinned thread counts > 1 really
+        // split their rows.
         let mut rng = StdRng::seed_from_u64(102);
-        let a = random_vec(&mut rng, m * k);
-        let b = random_vec(&mut rng, k * n);
-
-        let previous = matmul_threads();
-        let mut runs = Vec::new();
-        for threads in [1, 2, 3, 7] {
-            set_matmul_threads(threads);
-            let mut c = vec![0.0f32; m * n];
-            gemm(false, false, m, k, n, &a, &b, &mut c);
-            runs.push(c);
-        }
-        set_matmul_threads(previous);
-
-        for run in &runs[1..] {
-            assert_eq!(&runs[0], run, "thread count changed matmul bits");
+        for &(m, k, n) in [(96, 280, 96)].iter().chain(&SHAPES[7..]) {
+            let a = random_vec(&mut rng, m * k);
+            let b = random_vec(&mut rng, k * n);
+            for (trans_a, trans_b) in [(false, false), (true, false), (false, true), (true, true)] {
+                let runs: Vec<Vec<f32>> = [1, 2, 3, 7]
+                    .into_iter()
+                    .map(|threads| {
+                        let mut c = vec![0.0f32; m * n];
+                        with_threads(threads, || gemm(trans_a, trans_b, m, k, n, &a, &b, &mut c));
+                        c
+                    })
+                    .collect();
+                for run in &runs[1..] {
+                    assert_eq!(
+                        &runs[0], run,
+                        "thread count changed matmul bits at {m}x{k}x{n} ({trans_a}, {trans_b})"
+                    );
+                }
+            }
         }
     }
 

@@ -1,5 +1,5 @@
 use super::{Layer, Param};
-use crate::{init, Tensor};
+use crate::{init, kernels, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -61,8 +61,20 @@ impl Layer for Linear {
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let x = self.cache.as_ref().expect("backward before forward");
-        // dW = xᵀ g ; db = Σ_batch g ; dx = g Wᵀ.
-        let gw = x.transpose().matmul(grad_out);
+        let batch = x.shape()[0];
+        // dW = xᵀ g ; db = Σ_batch g ; dx = g Wᵀ. The transposes are
+        // logical (gemm flags), never materialized.
+        let mut gw = Tensor::zeros(&[self.in_f, self.out_f]);
+        kernels::gemm(
+            true,
+            false,
+            self.in_f,
+            batch,
+            self.out_f,
+            x.as_slice(),
+            grad_out.as_slice(),
+            gw.as_mut_slice(),
+        );
         self.weight.grad.add_scaled(&gw, 1.0);
         let g = grad_out.as_slice();
         let gb = self.bias.grad.as_mut_slice();
@@ -71,7 +83,18 @@ impl Layer for Linear {
                 *b += v;
             }
         }
-        grad_out.matmul(&self.weight.value.transpose())
+        let mut gx = Tensor::zeros(&[batch, self.in_f]);
+        kernels::gemm(
+            false,
+            true,
+            batch,
+            self.out_f,
+            self.in_f,
+            grad_out.as_slice(),
+            self.weight.value.as_slice(),
+            gx.as_mut_slice(),
+        );
+        gx
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
