@@ -177,6 +177,48 @@ pub fn s(x: impl Display) -> String {
     x.to_string()
 }
 
+/// The measuring host as a JSON object, for the `BENCH_*.json` records:
+/// CPU model, logical CPUs, the compiler that built this binary, and the
+/// git revision of the working directory (`-dirty` when tracked files
+/// differ from it, `"unknown"` where unreadable).
+pub fn host_json() -> String {
+    let cpu = fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map(|s| s.trim().to_string())
+    };
+    // Tracked files that differ from HEAD mark the revision `-dirty`.
+    let git_rev = match (
+        git(&["rev-parse", "HEAD"]),
+        git(&["status", "--porcelain", "--untracked-files=no"]),
+    ) {
+        (Some(rev), Some(changes)) if !changes.is_empty() => format!("{rev}-dirty"),
+        (Some(rev), _) => rev,
+        (None, _) => "unknown".into(),
+    };
+    let quote = |s: &str| serde_json::to_string(&s.to_string()).expect("strings serialize");
+    format!(
+        "{{ \"cpu_model\": {}, \"nproc\": {nproc}, \"rustc\": {}, \"git_rev\": {} }}",
+        quote(&cpu),
+        quote(env!("RLNOC_BENCH_RUSTC_VERSION")),
+        quote(&git_rev),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

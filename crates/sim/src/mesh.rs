@@ -1,12 +1,13 @@
-//! The router-based mesh fabric: input-buffered wormhole routers with XY
-//! dimension-order routing and credit-based backpressure.
+//! The router-based mesh fabric: wormhole routers with one input FIFO per
+//! port (no virtual channels), XY dimension-order routing and credit-based
+//! backpressure.
 
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::hash::PacketIdBuildHasher;
 use crate::packet::{Flit, Packet};
 use crate::runner::{Delivery, Network};
 use rlnoc_topology::{Grid, NodeId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// Router ports, in fixed arbitration order.
 const NORTH: usize = 0;
@@ -15,6 +16,8 @@ const SOUTH: usize = 2;
 const WEST: usize = 3;
 const LOCAL: usize = 4;
 const PORTS: usize = 5;
+/// One bit per port.
+const ALL_PORTS: u8 = (1 << PORTS) - 1;
 
 /// A buffered flit with the cycle it entered this router (for pipeline
 /// modelling).
@@ -50,6 +53,11 @@ struct MeshFaultState {
     /// Packets that lost flits (or their only route) to a fault; their
     /// surviving flits are purged instead of delivered.
     condemned: HashSet<u64, PacketIdBuildHasher>,
+    /// `condemned.len()` when the buffers were last swept for condemned
+    /// flits. A sweep leaves none behind (injection never admits a
+    /// condemned packet and buffered flits only move between buffers), so
+    /// the next sweep is due only once the set has grown.
+    swept: usize,
     /// Packets condemned by faults (each counted once).
     dropped_packets: u64,
     /// Individual flits destroyed or discarded because of faults.
@@ -63,16 +71,10 @@ impl MeshFaultState {
             .any(|&(n, from, until)| n == node && from <= cycle && cycle < until)
     }
 
-    /// Condemns `id` exactly once, unwinding assembly and in-flight
-    /// accounting. Returns whether it was newly condemned.
-    fn condemn(
-        &mut self,
-        assembly: &mut HashMap<u64, usize, PacketIdBuildHasher>,
-        in_flight_packets: &mut usize,
-        id: u64,
-    ) -> bool {
+    /// Condemns `id` exactly once, unwinding in-flight accounting.
+    /// Returns whether it was newly condemned.
+    fn condemn(&mut self, in_flight_packets: &mut usize, id: u64) -> bool {
         if self.condemned.insert(id) {
-            assembly.remove(&id);
             *in_flight_packets -= 1;
             self.dropped_packets += 1;
             true
@@ -90,6 +92,82 @@ impl Router {
             rr: [0; PORTS],
         }
     }
+
+    /// Bitmask of the non-empty inputs.
+    fn busy_mask(&self) -> u8 {
+        (0..PORTS).fold(0, |m, p| m | (u8::from(!self.inputs[p].is_empty()) << p))
+    }
+}
+
+/// XY dimension-order output port at `at` for destination `dst`.
+fn xy_port(at: (u32, u32), dst: (u32, u32)) -> usize {
+    if at.0 < dst.0 {
+        EAST
+    } else if at.0 > dst.0 {
+        WEST
+    } else if at.1 < dst.1 {
+        SOUTH
+    } else if at.1 > dst.1 {
+        NORTH
+    } else {
+        LOCAL
+    }
+}
+
+/// Fault-masked XY output port: the X-productive port if its link is
+/// alive, else the Y-productive one, else `None` (no live productive
+/// move). With no dead links this is exactly [`xy_port`].
+fn masked_port(
+    xy: &[(u32, u32)],
+    dead_out: &[[bool; PORTS]],
+    at: NodeId,
+    dst: NodeId,
+) -> Option<usize> {
+    if at == dst {
+        return Some(LOCAL);
+    }
+    let ((x, y), (dx, dy)) = (xy[at], xy[dst]);
+    let xport = if x < dx {
+        Some(EAST)
+    } else if x > dx {
+        Some(WEST)
+    } else {
+        None
+    };
+    let yport = if y < dy {
+        Some(SOUTH)
+    } else if y > dy {
+        Some(NORTH)
+    } else {
+        None
+    };
+    [xport, yport]
+        .into_iter()
+        .flatten()
+        .find(|&p| !dead_out[at][p])
+}
+
+/// The neighbouring router reached through `port` (row-major node ids).
+/// Routing only ever picks productive ports, so the neighbour exists.
+fn neighbour(at: NodeId, port: usize, width: usize) -> NodeId {
+    match port {
+        NORTH => at - width,
+        EAST => at + 1,
+        SOUTH => at + width,
+        WEST => at - 1,
+        _ => at,
+    }
+}
+
+/// The port on the neighbour that a flit sent through `port` arrives on.
+fn arrival_port(port: usize) -> usize {
+    match port {
+        NORTH => SOUTH,
+        SOUTH => NORTH,
+        EAST => WEST,
+        WEST => EAST,
+        other => other,
+    }
 }
 
 /// Cycle-accurate mesh simulator.
@@ -105,20 +183,19 @@ pub struct MeshSim {
     router_delay: u64,
     buffer_capacity: usize,
     routers: Vec<Router>,
+    /// `busy[r]` bit `p`: input `p` of router `r` holds a flit. Kept on
+    /// every push and pop; routers with a zero mask are skipped.
+    busy: Vec<u8>,
+    /// Per-tick scratch: `served[r]` bit `p`: input `p` of router `r`
+    /// forwarded a flit this tick.
+    served: Vec<u8>,
+    /// `(x, y)` of every node, so routing needs no division.
+    xy: Vec<(u32, u32)>,
     queues: Vec<VecDeque<Packet>>,
     /// Next flit index to inject for the head packet of each node queue.
     inject_progress: Vec<usize>,
-    assembly: HashMap<u64, usize, PacketIdBuildHasher>,
     deliveries: Vec<Delivery>,
     in_flight_packets: usize,
-    /// Persistent per-tick scratch (cleared, never reallocated): flits
-    /// crossing a link this cycle.
-    staged: Vec<(NodeId, usize, Flit)>,
-    /// Persistent per-tick scratch: flits reaching their local port.
-    local_deliveries: Vec<Flit>,
-    /// Persistent per-tick scratch: input-buffer occupancy including this
-    /// cycle's staged arrivals, for credit checks.
-    occupancy: Vec<[usize; PORTS]>,
     /// Fault-injection state; `None` for sims without a fault plan.
     faults: Option<Box<MeshFaultState>>,
 }
@@ -132,14 +209,13 @@ impl MeshSim {
             router_delay,
             buffer_capacity: buffer_capacity.max(1),
             routers: (0..grid.len()).map(|_| Router::new()).collect(),
+            busy: vec![0; grid.len()],
+            served: vec![0; grid.len()],
+            xy: grid.coords().map(|(x, y)| (x as u32, y as u32)).collect(),
             queues: vec![VecDeque::new(); grid.len()],
             inject_progress: vec![0; grid.len()],
-            assembly: HashMap::default(),
             deliveries: Vec::new(),
             in_flight_packets: 0,
-            staged: Vec::new(),
-            local_deliveries: Vec::new(),
-            occupancy: vec![[0; PORTS]; grid.len()],
             faults: None,
         }
     }
@@ -178,6 +254,7 @@ impl MeshSim {
             any_dead: false,
             stalls,
             condemned: HashSet::default(),
+            swept: 0,
             dropped_packets: 0,
             dropped_flits: 0,
         }));
@@ -209,87 +286,12 @@ impl MeshSim {
         MeshSim::new(grid, 0, 8)
     }
 
-    /// XY dimension-order output port at router `at` for destination `dst`.
-    fn route_port(&self, at: NodeId, dst: NodeId) -> usize {
-        let (x, y) = self.grid.coord_of(at);
-        let (dx, dy) = self.grid.coord_of(dst);
-        if x < dx {
-            EAST
-        } else if x > dx {
-            WEST
-        } else if y < dy {
-            SOUTH
-        } else if y > dy {
-            NORTH
-        } else {
-            LOCAL
-        }
-    }
-
-    /// Fault-masked XY output port: the X-productive port if its link is
-    /// alive, else the Y-productive one, else `None` (no live productive
-    /// move). With no dead links this is exactly [`MeshSim::route_port`].
-    fn masked_port(
-        grid: Grid,
-        dead_out: &[[bool; PORTS]],
-        at: NodeId,
-        dst: NodeId,
-    ) -> Option<usize> {
-        if at == dst {
-            return Some(LOCAL);
-        }
-        let (x, y) = grid.coord_of(at);
-        let (dx, dy) = grid.coord_of(dst);
-        let xport = if x < dx {
-            Some(EAST)
-        } else if x > dx {
-            Some(WEST)
-        } else {
-            None
-        };
-        let yport = if y < dy {
-            Some(SOUTH)
-        } else if y > dy {
-            Some(NORTH)
-        } else {
-            None
-        };
-        if let Some(p) = xport {
-            if !dead_out[at][p] {
-                return Some(p);
-            }
-        }
-        if let Some(p) = yport {
-            if !dead_out[at][p] {
-                return Some(p);
-            }
-        }
-        None
-    }
-
-    /// Routing decision honouring any dead links; `Some(port)` on healthy
-    /// fabrics for every pair (XY always routes a full mesh).
-    fn route_out(&self, at: NodeId, dst: NodeId) -> Option<usize> {
-        match self.faults.as_deref() {
-            Some(fs) if fs.any_dead => Self::masked_port(self.grid, &fs.dead_out, at, dst),
-            _ => Some(self.route_port(at, dst)),
-        }
-    }
-
     /// Applies every scheduled fault whose activation cycle has arrived.
     /// No-op (one branch) without a plan or between events.
     fn apply_due_faults(&mut self, cycle: u64) {
-        let due = match &self.faults {
-            Some(f) => {
-                f.next_event < f.plan.events().len()
-                    && f.plan.events()[f.next_event].activation_cycle() <= cycle
-            }
-            None => return,
-        };
-        if !due {
+        let Some(fs) = self.faults.as_deref_mut() else {
             return;
-        }
-        let mut fs = self.faults.take().expect("checked above");
+        };
         while fs.next_event < fs.plan.events().len()
             && fs.plan.events()[fs.next_event].activation_cycle() <= cycle
         {
@@ -315,12 +317,10 @@ impl MeshSim {
             fs.any_dead = true;
             // A wormhole mid-transfer across the dying link is severed:
             // the packet can never complete.
-            if let Some((_, _, pid)) = self.routers[from].out_lock[port] {
-                fs.condemn(&mut self.assembly, &mut self.in_flight_packets, pid);
-                self.routers[from].out_lock[port] = None;
+            if let Some((_, _, pid)) = self.routers[from].out_lock[port].take() {
+                fs.condemn(&mut self.in_flight_packets, pid);
             }
         }
-        self.faults = Some(fs);
     }
 
     /// Removes fault casualties from the fabric: flits of condemned
@@ -328,104 +328,71 @@ impl MeshSim {
     /// productive port (condemning their packets), and output locks held
     /// by condemned packets. Runs only while faults are active.
     fn purge_faulted(&mut self) {
-        let Some(mut fs) = self.faults.take() else {
+        let MeshSim {
+            routers,
+            busy,
+            xy,
+            in_flight_packets,
+            faults,
+            ..
+        } = self;
+        let Some(fs) = faults.as_deref_mut() else {
             return;
         };
-        if fs.any_dead || !fs.condemned.is_empty() {
-            // Drop condemned flits wherever they sit.
-            if !fs.condemned.is_empty() {
-                for router in &mut self.routers {
-                    for q in &mut router.inputs {
-                        let before = q.len();
-                        q.retain(|&(f, _)| !fs.condemned.contains(&f.packet.id));
-                        fs.dropped_flits += (before - q.len()) as u64;
-                    }
+        let dropped_before = fs.dropped_flits;
+        let grew = fs.condemned.len() != fs.swept;
+        // Drop condemned flits wherever they sit.
+        if grew {
+            for router in routers.iter_mut() {
+                for q in &mut router.inputs {
+                    let before = q.len();
+                    q.retain(|&(f, _)| !fs.condemned.contains(&f.packet.id));
+                    fs.dropped_flits += (before - q.len()) as u64;
                 }
             }
-            // Heads stuck with no live productive port block their whole
-            // input queue: condemn and drop them.
-            if fs.any_dead {
-                for r in 0..self.routers.len() {
-                    for p in 0..PORTS {
-                        while let Some(&(flit, _)) = self.routers[r].inputs[p].front() {
-                            if fs.condemned.contains(&flit.packet.id) {
-                                self.routers[r].inputs[p].pop_front();
-                                fs.dropped_flits += 1;
-                                continue;
-                            }
-                            if flit.is_head()
-                                && Self::masked_port(self.grid, &fs.dead_out, r, flit.packet.dst)
-                                    .is_none()
-                            {
-                                self.routers[r].inputs[p].pop_front();
-                                fs.dropped_flits += 1;
-                                fs.condemn(
-                                    &mut self.assembly,
-                                    &mut self.in_flight_packets,
-                                    flit.packet.id,
-                                );
-                                continue;
-                            }
-                            break;
+            fs.swept = fs.condemned.len();
+        }
+        // Heads stuck with no live productive port block their whole
+        // input queue: condemn and drop them. Packets condemned here keep
+        // flits upstream, which the next tick's sweep removes.
+        if fs.any_dead {
+            for (r, router) in routers.iter_mut().enumerate() {
+                for q in &mut router.inputs {
+                    while let Some(&(flit, _)) = q.front() {
+                        if fs.condemned.contains(&flit.packet.id) {
+                            q.pop_front();
+                            fs.dropped_flits += 1;
+                            continue;
                         }
-                    }
-                }
-            }
-            // Condemned packets release their wormhole reservations.
-            if !fs.condemned.is_empty() {
-                for router in &mut self.routers {
-                    for lock in &mut router.out_lock {
-                        if lock.is_some_and(|(_, _, pid)| fs.condemned.contains(&pid)) {
-                            *lock = None;
+                        if flit.is_head()
+                            && masked_port(xy, &fs.dead_out, r, flit.packet.dst).is_none()
+                        {
+                            q.pop_front();
+                            fs.dropped_flits += 1;
+                            fs.condemn(in_flight_packets, flit.packet.id);
+                            continue;
                         }
+                        break;
                     }
                 }
             }
         }
-        self.faults = Some(fs);
-    }
-
-    /// The neighbouring router reached through `port`.
-    fn neighbour(&self, at: NodeId, port: usize) -> NodeId {
-        let (x, y) = self.grid.coord_of(at);
-        match port {
-            NORTH => self.grid.node_at(x, y - 1),
-            EAST => self.grid.node_at(x + 1, y),
-            SOUTH => self.grid.node_at(x, y + 1),
-            WEST => self.grid.node_at(x - 1, y),
-            _ => at,
-        }
-    }
-
-    /// The port on the neighbour that a flit sent through `port` arrives on.
-    fn arrival_port(port: usize) -> usize {
-        match port {
-            NORTH => SOUTH,
-            SOUTH => NORTH,
-            EAST => WEST,
-            WEST => EAST,
-            other => other,
-        }
-    }
-
-    fn deliver(&mut self, flit: Flit, cycle: u64) {
-        if let Some(fs) = self.faults.as_deref_mut() {
-            // Stragglers of a packet already lost to a fault are discarded.
-            if !fs.condemned.is_empty() && fs.condemned.contains(&flit.packet.id) {
-                fs.dropped_flits += 1;
-                return;
+        // Condemned packets release their wormhole reservations. A
+        // condemned packet has no head left to take a new lock, so only a
+        // grown set can hold any.
+        if grew || fs.condemned.len() != fs.swept {
+            for router in routers.iter_mut() {
+                for lock in &mut router.out_lock {
+                    if lock.is_some_and(|(_, _, pid)| fs.condemned.contains(&pid)) {
+                        *lock = None;
+                    }
+                }
             }
         }
-        let count = self.assembly.entry(flit.packet.id).or_insert(0);
-        *count += 1;
-        if *count == flit.packet.flits {
-            self.assembly.remove(&flit.packet.id);
-            self.deliveries.push(Delivery {
-                packet: flit.packet,
-                delivered: cycle,
-                hops: self.grid.manhattan(flit.packet.src, flit.packet.dst) as u64,
-            });
-            self.in_flight_packets -= 1;
+        if fs.dropped_flits != dropped_before {
+            for (mask, router) in busy.iter_mut().zip(routers.iter()) {
+                *mask = router.busy_mask();
+            }
         }
     }
 }
@@ -446,140 +413,177 @@ impl Network for MeshSim {
         self.apply_due_faults(cycle);
         self.purge_faulted();
 
-        // Staged transfers commit after all routers arbitrate, so a flit
-        // moves at most one hop per cycle. The staging buffers are
-        // persistent scratch moved out of `self` for the duration of the
-        // tick (`mem::take` swaps in an unallocated empty vec) so the
-        // steady-state cycle cost involves no heap allocation.
-        let mut staged = std::mem::take(&mut self.staged);
-        let mut local_deliveries = std::mem::take(&mut self.local_deliveries);
-        // Occupancy including this cycle's staged arrivals, for credits.
-        let mut occupancy = std::mem::take(&mut self.occupancy);
-        for (r, router) in self.routers.iter().enumerate() {
-            for (p, q) in router.inputs.iter().enumerate() {
-                occupancy[r][p] = q.len();
-            }
-        }
+        let MeshSim {
+            grid,
+            router_delay,
+            buffer_capacity,
+            routers,
+            busy,
+            served,
+            xy,
+            queues,
+            inject_progress,
+            deliveries,
+            in_flight_packets,
+            faults,
+        } = self;
+        let (delay, capacity, width) = (*router_delay, *buffer_capacity, grid.width());
+        let dead_out = faults
+            .as_deref()
+            .filter(|fs| fs.any_dead)
+            .map(|fs| &fs.dead_out[..]);
+        served.fill(0);
 
-        for r in 0..self.routers.len() {
-            let mut served_inputs = [false; PORTS];
-            for out in 0..PORTS {
-                // Which input may use this output?
-                let chosen: Option<usize> = match self.routers[r].out_lock[out] {
-                    Some((inp, _, _)) => Some(inp),
+        for r in 0..routers.len() {
+            if busy[r] == 0 {
+                continue;
+            }
+            // Requests: bit `inp` of `req[out]` is set when input `inp`
+            // holds a ready head flit routed to `out`. Inputs only lose
+            // flits when served, and a served input is masked out below,
+            // so the requests stay valid for the whole arbitration.
+            let mut req = [0u8; PORTS];
+            let mut pending = busy[r];
+            while pending != 0 {
+                let inp = pending.trailing_zeros() as usize;
+                pending &= pending - 1;
+                let (flit, entered) = routers[r].inputs[inp][0];
+                if flit.is_head() && cycle >= entered + delay {
+                    let dst = flit.packet.dst;
+                    let out = match dead_out {
+                        None => Some(xy_port(xy[r], xy[dst])),
+                        Some(dead) => masked_port(xy, dead, r, dst),
+                    };
+                    if let Some(out) = out {
+                        req[out] |= 1 << inp;
+                    }
+                }
+            }
+            let mut done = 0u8;
+            for (out, &requests) in req.iter().enumerate() {
+                // Which input may use this output? The wormhole owner, or
+                // the first requester at or after the round-robin pointer.
+                let inp = match routers[r].out_lock[out] {
+                    Some((inp, _, _)) => inp,
                     None => {
-                        let start = self.routers[r].rr[out];
-                        (0..PORTS).map(|k| (start + k) % PORTS).find(|&inp| {
-                            if served_inputs[inp] {
-                                return false;
-                            }
-                            match self.routers[r].inputs[inp].front() {
-                                Some(&(flit, entered)) => {
-                                    flit.is_head()
-                                        && cycle >= entered + self.router_delay
-                                        && self.route_out(r, flit.packet.dst) == Some(out)
-                                }
-                                None => false,
-                            }
-                        })
+                        let cand = requests & !done;
+                        if cand == 0 {
+                            continue;
+                        }
+                        let start = routers[r].rr[out];
+                        let rotated = (cand >> start | cand << (PORTS - start)) & ALL_PORTS;
+                        (start + rotated.trailing_zeros() as usize) % PORTS
                     }
                 };
-                let Some(inp) = chosen else { continue };
-                if served_inputs[inp] {
+                if done & (1 << inp) != 0 {
                     continue;
                 }
                 // Pipeline delay also applies to locked (body) flits.
-                let Some(&(flit, entered)) = self.routers[r].inputs[inp].front() else {
+                let Some(&(flit, entered)) = routers[r].inputs[inp].front() else {
                     continue;
                 };
-                if cycle < entered + self.router_delay {
+                if cycle < entered + delay {
                     continue;
                 }
-                // Credit check for non-local outputs.
-                if out != LOCAL {
-                    let nb = self.neighbour(r, out);
-                    let ap = Self::arrival_port(out);
-                    if occupancy[nb][ap] >= self.buffer_capacity {
-                        continue;
-                    }
-                    occupancy[nb][ap] += 1;
+                // Credit check for non-local outputs, against the
+                // neighbour's start-of-tick occupancy: its live length
+                // plus the flit it popped this tick, if any. Only this
+                // link feeds that input, once per tick at most, so no
+                // other arrival can be counted in the live length.
+                let (nb, ap) = (neighbour(r, out, width), arrival_port(out));
+                if out != LOCAL
+                    && routers[nb].inputs[ap].len() + usize::from(served[nb] >> ap & 1) >= capacity
+                {
+                    continue;
                 }
                 // Forward the flit.
-                self.routers[r].inputs[inp].pop_front();
-                served_inputs[inp] = true;
+                routers[r].inputs[inp].pop_front();
+                done |= 1 << inp;
+                if routers[r].inputs[inp].is_empty() {
+                    busy[r] &= !(1 << inp);
+                }
                 if out == LOCAL {
-                    local_deliveries.push(flit);
+                    // Wormhole locks and FIFO inputs keep a packet's flits
+                    // in order on one path, so its tail arrives last.
+                    if flit.is_tail() {
+                        let p = flit.packet;
+                        debug_assert!(faults
+                            .as_deref()
+                            .is_none_or(|fs| !fs.condemned.contains(&p.id)));
+                        let ((sx, sy), (dx, dy)) = (xy[p.src], xy[p.dst]);
+                        deliveries.push(Delivery {
+                            packet: p,
+                            delivered: cycle,
+                            hops: u64::from(sx.abs_diff(dx) + sy.abs_diff(dy)),
+                        });
+                        *in_flight_packets -= 1;
+                    }
                 } else {
-                    staged.push((self.neighbour(r, out), Self::arrival_port(out), flit));
+                    // Stamped `cycle + 1`, the flit cannot move again
+                    // before the next tick.
+                    routers[nb].inputs[ap].push_back((flit, cycle + 1));
+                    busy[nb] |= 1 << ap;
                 }
                 // Maintain the wormhole lock.
-                match &mut self.routers[r].out_lock[out] {
+                let router = &mut routers[r];
+                match &mut router.out_lock[out] {
                     Some((_, left, _)) => {
                         *left -= 1;
                         if *left == 0 {
-                            self.routers[r].out_lock[out] = None;
+                            router.out_lock[out] = None;
                         }
                     }
                     None => {
-                        self.routers[r].rr[out] = (inp + 1) % PORTS;
+                        router.rr[out] = (inp + 1) % PORTS;
                         if flit.packet.flits > 1 {
-                            self.routers[r].out_lock[out] =
+                            router.out_lock[out] =
                                 Some((inp, flit.packet.flits - 1, flit.packet.id));
                         }
                     }
                 }
             }
+            served[r] = done;
         }
-
-        for &flit in &local_deliveries {
-            self.deliver(flit, cycle);
-        }
-        for &(router, port, flit) in &staged {
-            self.routers[router].inputs[port].push_back((flit, cycle + 1));
-        }
-        staged.clear();
-        local_deliveries.clear();
-        self.staged = staged;
-        self.local_deliveries = local_deliveries;
-        self.occupancy = occupancy;
 
         // Injection: one flit per node per cycle into the local input, if
         // there is buffer space.
-        for node in 0..self.grid.len() {
-            if let Some(fs) = self.faults.as_deref_mut() {
+        for node in 0..grid.len() {
+            if let Some(fs) = faults.as_deref_mut() {
                 if !fs.stalls.is_empty() && fs.is_stalled(node, cycle) {
                     continue;
                 }
                 // Queued packets whose route died (or that were condemned
                 // mid-injection) never enter the fabric.
-                while let Some(&p) = self.queues[node].front() {
+                while let Some(&p) = queues[node].front() {
                     if fs.condemned.contains(&p.id) {
-                        self.queues[node].pop_front();
-                        self.inject_progress[node] = 0;
-                    } else if self.inject_progress[node] == 0
+                        queues[node].pop_front();
+                        inject_progress[node] = 0;
+                    } else if inject_progress[node] == 0
                         && fs.any_dead
-                        && Self::masked_port(self.grid, &fs.dead_out, p.src, p.dst).is_none()
+                        && masked_port(xy, &fs.dead_out, p.src, p.dst).is_none()
                     {
-                        self.queues[node].pop_front();
-                        fs.condemn(&mut self.assembly, &mut self.in_flight_packets, p.id);
+                        queues[node].pop_front();
+                        fs.condemn(in_flight_packets, p.id);
                     } else {
                         break;
                     }
                 }
             }
-            let Some(&packet) = self.queues[node].front() else {
+            let Some(&packet) = queues[node].front() else {
                 continue;
             };
-            if self.routers[node].inputs[LOCAL].len() >= self.buffer_capacity {
+            let local = &mut routers[node].inputs[LOCAL];
+            if local.len() >= capacity {
                 continue;
             }
-            let idx = self.inject_progress[node];
-            self.routers[node].inputs[LOCAL].push_back((Flit { packet, index: idx }, cycle + 1));
+            let idx = inject_progress[node];
+            local.push_back((Flit { packet, index: idx }, cycle + 1));
+            busy[node] |= 1 << LOCAL;
             if idx + 1 == packet.flits {
-                self.queues[node].pop_front();
-                self.inject_progress[node] = 0;
+                queues[node].pop_front();
+                inject_progress[node] = 0;
             } else {
-                self.inject_progress[node] = idx + 1;
+                inject_progress[node] = idx + 1;
             }
         }
     }
@@ -771,6 +775,34 @@ mod tests {
             }
         }
         assert!(arrived);
+    }
+
+    #[test]
+    fn body_flits_of_a_stuck_head_are_swept() {
+        // Two 8-flit packets 0 → 2 along row 0 each reach router 1 after
+        // link 1→2 died, so their heads have no live productive port and
+        // are condemned while body flits still wait upstream in node 0's
+        // local input. Each time those flits must be swept out, or they
+        // block node 0 for good and the last packet never arrives.
+        let g = Grid::square(3).unwrap();
+        let (src, mid, dst) = (g.node_at(0, 0), g.node_at(1, 0), g.node_at(2, 0));
+        let mut plan = FaultPlan::new();
+        plan.kill_mesh_link(3, mid, dst);
+        let mut sim = MeshSim::with_faults(g, 1, 8, plan);
+        let mut delivered = Vec::new();
+        for (id, at, to, flits) in [(1, 0, dst, 8), (2, 30, dst, 8), (3, 60, g.node_at(0, 2), 2)] {
+            sim.offer(Packet {
+                created: at,
+                ..packet(id, src, to, flits)
+            });
+            for cycle in at..at + 30 {
+                sim.tick(cycle);
+                delivered.extend(sim.take_deliveries().iter().map(|d| d.packet.id));
+            }
+        }
+        assert_eq!(delivered, [3]);
+        assert_eq!(sim.dropped_by_fault(), 2);
+        assert_eq!(sim.in_flight(), 0);
     }
 
     #[test]
